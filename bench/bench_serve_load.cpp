@@ -14,13 +14,19 @@
 //                     must shed (bounded work, never unbounded queueing).
 //  4. hot-reload    — checkpoint swaps mid-stream must produce zero
 //                     errors while responses span both generations.
-//  5. --pipe-cmd C  — spawn `C` (a pnc_serve command line), drive it with
+//  5. depth sweep   — drain a burst of 1k, 16k and 64k requests (three
+//                     priority classes) through a 1-shard server whose
+//                     queue holds twice the burst. The perf-smoke CI job
+//                     asserts depth_scaling = rps(64k) / rps(1k) >= 0.5,
+//                     so queue cost per request must not grow with depth.
+//  6. --pipe-cmd C  — spawn `C` (a pnc_serve command line), drive it with
 //                     NDJSON requests over its stdin/stdout, optionally
 //                     injecting a mid-run reload (--pipe-reload PATH).
 //                     Used by the serve-load-smoke CI job.
 //
 // Writes BENCH_serve_load.json: p50/p95/p99 latency, saturation rps,
-// multi-shard scaling, shed rates and the dispatch batch-size histogram.
+// multi-shard scaling, shed rates, drain rate by queue depth and the
+// dispatch batch-size histogram.
 
 #include <atomic>
 #include <chrono>
@@ -260,7 +266,55 @@ std::string load_result_json(const LoadResult& r) {
 }
 
 // ---------------------------------------------------------------------------
-// Phase 5: drive an external pnc_serve over stdin/stdout pipes.
+// Phase 5: drain rate against queue depth.
+
+struct BacklogResult {
+  double rps = 0.0;
+  std::uint64_t not_ok = 0;
+};
+
+/// Submit `depth` requests back to back, priority classes drawn from a
+/// seeded mix, into a fresh 1-shard server whose queue holds 2 x depth (so
+/// nothing sheds), and time from the first submit to the last answer.
+BacklogResult run_backlog(std::shared_ptr<const pnc::infer::Engine> engine,
+                          const std::vector<std::vector<double>>& series,
+                          std::size_t depth) {
+  ServerConfig config;
+  config.shards = 1;
+  config.max_batch = 16;
+  config.queue_capacity = 2 * depth;
+  Server server(config);
+  server.load_model("default", {engine});
+  server.start();
+
+  pnc::util::Rng mix(depth);
+  std::mutex mutex;
+  std::condition_variable done_cv;
+  std::size_t done = 0;
+  std::atomic<std::uint64_t> not_ok{0};
+  const auto start = Clock::now();
+  for (std::size_t i = 0; i < depth; ++i) {
+    Request req;
+    req.id = i;
+    req.series = series[i % series.size()];
+    req.priority = static_cast<pnc::serve::Priority>(mix.uniform_int(0, 2));
+    server.submit(std::move(req), [&](Response resp) {
+      if (resp.status != Status::kOk) ++not_ok;
+      std::lock_guard<std::mutex> lock(mutex);
+      if (++done == depth) done_cv.notify_all();
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    done_cv.wait(lock, [&] { return done == depth; });
+  }
+  const double wall = seconds_between(start, Clock::now());
+  server.stop();
+  return {static_cast<double>(depth) / wall, not_ok.load()};
+}
+
+// ---------------------------------------------------------------------------
+// Phase 6: drive an external pnc_serve over stdin/stdout pipes.
 
 struct PipeResult {
   std::uint64_t ok = 0;
@@ -573,6 +627,34 @@ int main(int argc, char** argv) {
     std::cout << "hot reload: errors=" << errors.load()
               << ", generation span=" << (max_gen.load() - min_gen.load())
               << "\n";
+  }
+
+  // Phase 5: drain rate by queue depth (median of bursts per depth).
+  {
+    const std::size_t bursts = quick ? 1 : 3;
+    std::uint64_t not_ok = 0;
+    double rps_1k = 0.0;
+    double rps_64k = 0.0;
+    report.timed_phase("depth_sweep", [&] {
+      for (const std::size_t depth : {1024, 16384, 65536}) {
+        std::vector<double> rps;
+        for (std::size_t b = 0; b < bursts; ++b) {
+          const BacklogResult r = run_backlog(engine, series, depth);
+          rps.push_back(r.rps);
+          not_ok += r.not_ok;
+        }
+        const double median = util::percentiles(rps, {50.0})[0];
+        const std::string tag = std::to_string(depth / 1024) + "k";
+        report.metric("backlog_rps_depth_" + tag, median);
+        std::cout << "backlog depth " << tag << ": " << median << " rps\n";
+        if (depth == 1024) rps_1k = median;
+        if (depth == 65536) rps_64k = median;
+      }
+    });
+    report.metric("backlog_not_ok", static_cast<double>(not_ok));
+    report.metric("depth_scaling", rps_1k > 0.0 ? rps_64k / rps_1k : 0.0);
+    std::cout << "depth scaling (64k / 1k): "
+              << (rps_1k > 0.0 ? rps_64k / rps_1k : 0.0) << "\n";
   }
 
   report.write();

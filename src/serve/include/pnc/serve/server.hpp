@@ -21,6 +21,7 @@
 #include "pnc/serve/queue.hpp"
 #include "pnc/serve/types.hpp"
 #include "pnc/stream/session.hpp"
+#include "pnc/util/digest.hpp"
 #include "pnc/util/workspace_pool.hpp"
 #include "pnc/variation/variation.hpp"
 
@@ -244,7 +245,17 @@ class Server {
     bool operator==(const BatchKey&) const = default;
   };
 
-  using Queue = CoalescingQueue<Pending, BatchKey>;
+  struct BatchKeyHash {
+    std::size_t operator()(const BatchKey& k) const {
+      std::uint64_t h = util::fnv1a64(&k.model, sizeof(k.model));
+      h = util::fnv1a64(&k.overlay, sizeof(k.overlay), h);
+      h = util::fnv1a64(&k.session, sizeof(k.session), h);
+      h = util::fnv1a64(&k.series_len, sizeof(k.series_len), h);
+      return static_cast<std::size_t>(h);
+    }
+  };
+
+  using Queue = CoalescingQueue<Pending, BatchKey, BatchKeyHash>;
 
   /// One worker slot. The thread is replaced by the watchdog when hung;
   /// `epoch` tells a replaced thread to exit once it comes back, and

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,6 +13,8 @@
 #include "pnc/infer/engine.hpp"
 #include "pnc/serve/plan_cache.hpp"
 #include "pnc/serve/queue.hpp"
+#include "pnc/util/rng.hpp"
+#include "queue_oracle.hpp"
 
 namespace pnc {
 namespace {
@@ -256,6 +259,222 @@ TEST(ServeQueue, OnlyExpiredWorkReturnsEmptyBatch) {
   ASSERT_TRUE(q.pop_batch(8, 0us, batch, &expired));
   EXPECT_TRUE(batch.empty());
   ASSERT_EQ(expired.size(), 1u);
+  EXPECT_EQ(q.depth(), 0u);
+}
+
+// A same-key straggler that is already past its deadline when the gather
+// meets it goes to `expired`, and the gather goes on past it.
+TEST(ServeQueue, ExpiredStragglerMetDuringGatherIsNotServed) {
+  UQueue q = make_urgent_queue(8);
+  ASSERT_EQ(q.push(UItem{1, 0, Queue::Clock::time_point::max(), 0}), UQueue::PushResult::kOk);
+  std::thread straggler([&] {
+    std::this_thread::sleep_for(5ms);
+    (void)q.push(UItem{1, 0, Queue::Clock::now() - 1ms, 1});
+    (void)q.push(UItem{1, 0, Queue::Clock::time_point::max(), 2});
+  });
+  std::vector<UItem> batch;
+  std::vector<UItem> expired;
+  ASSERT_TRUE(q.pop_batch(2, std::chrono::microseconds(2'000'000), batch, &expired));
+  straggler.join();
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch.at(0).seq, 0);
+  EXPECT_EQ(batch.at(1).seq, 2);
+  ASSERT_EQ(expired.size(), 1u);
+  EXPECT_EQ(expired.at(0).seq, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Differential test against the linear-scan reference (queue_oracle.hpp).
+// Seeded random op sequences — pushes over 1–4 keys and 3 classes with
+// already-past, far-future and absent deadlines, sticky session items
+// under a seq-contiguity JoinFn, pops with and without an expired sink,
+// displacement at a small capacity, and close — must give identical push
+// results, batches, expired and displaced items (contents and order) and
+// depth after every op.
+
+struct DItem {
+  std::uint64_t id = 0;
+  int key = 0;
+  int klass = 0;
+  Queue::Clock::time_point deadline = Queue::Clock::time_point::max();
+  bool session = false;
+  std::uint64_t chain = 0;  // session sequence number within its key
+};
+
+template <class Q>
+Q make_session_queue(std::size_t capacity, bool urgent = true) {
+  if (!urgent) return Q(capacity, [](const DItem& item) { return item.key; });
+  return Q(
+      capacity, [](const DItem& item) { return item.key; },
+      [](const DItem& item) {
+        return typename Q::Urgency{item.klass, item.deadline, item.session};
+      },
+      [](const DItem& last, const DItem& next) {
+        return !last.session || next.chain == last.chain + 1;
+      });
+}
+
+std::vector<std::uint64_t> ids_of(const std::vector<DItem>& items) {
+  std::vector<std::uint64_t> ids;
+  for (const DItem& item : items) ids.push_back(item.id);
+  return ids;
+}
+
+TEST(ServeQueue, MatchesLinearScanOracleOnRandomSequences) {
+  using Indexed = serve::CoalescingQueue<DItem, int>;
+  using Oracle = serve::oracle::CoalescingQueue<DItem, int>;
+  const auto start = Queue::Clock::now();
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    // Every fourth seed runs plain FIFO: no urgency, no join.
+    const bool urgent = seed % 4 != 0;
+    const auto capacity = static_cast<std::size_t>(rng.uniform_int(2, 24));
+    const int keys = static_cast<int>(rng.uniform_int(1, 4));
+    Indexed indexed = make_session_queue<Indexed>(capacity, urgent);
+    Oracle oracle = make_session_queue<Oracle>(capacity, urgent);
+    std::vector<std::uint64_t> chains(4, 0);
+    constexpr int kOps = 2000;
+    const int close_at = static_cast<int>(rng.uniform_int(kOps / 2, kOps + kOps / 2));
+    std::uint64_t next_id = 0;
+    std::vector<DItem> batch_i, batch_o, side_i, side_o;
+
+    for (int op = 0; op < kOps; ++op) {
+      if (op == close_at) {
+        indexed.close();
+        oracle.close();
+      }
+      const bool can_pop = oracle.depth() > 0 || op >= close_at;
+      if (!can_pop || rng.bernoulli(0.55)) {
+        DItem item;
+        item.id = next_id++;
+        item.key = static_cast<int>(rng.uniform_int(0, keys - 1));
+        item.klass = static_cast<int>(rng.uniform_int(0, 2));
+        const double d = rng.uniform();
+        if (d < 0.2) {
+          item.deadline = start - std::chrono::milliseconds(rng.uniform_int(1, 50));
+        } else if (d < 0.6) {
+          item.deadline = start + std::chrono::hours(1) +
+                          std::chrono::milliseconds(rng.uniform_int(0, 50));
+        }
+        item.session = rng.bernoulli(0.25);
+        // Occasionally skip a sequence number so the join functor splits.
+        if (item.session) item.chain = chains[item.key] += rng.bernoulli(0.1) ? 2 : 1;
+        const bool sink = rng.bernoulli(0.8);
+        side_i.clear();
+        side_o.clear();
+        DItem copy = item;
+        const auto ri = indexed.push(std::move(item), sink ? &side_i : nullptr);
+        const auto ro = oracle.push(std::move(copy), sink ? &side_o : nullptr);
+        ASSERT_EQ(static_cast<int>(ri), static_cast<int>(ro)) << "push at op " << op;
+        ASSERT_EQ(ids_of(side_i), ids_of(side_o)) << "displaced at op " << op;
+      } else {
+        const auto max_batch = static_cast<std::size_t>(rng.uniform_int(1, 6));
+        const bool sink = rng.bernoulli(0.8);
+        side_i.clear();
+        side_o.clear();
+        const bool pi = indexed.pop_batch(max_batch, 0us, batch_i, sink ? &side_i : nullptr);
+        const bool po = oracle.pop_batch(max_batch, 0us, batch_o, sink ? &side_o : nullptr);
+        ASSERT_EQ(pi, po) << "pop at op " << op;
+        ASSERT_EQ(ids_of(batch_i), ids_of(batch_o)) << "batch at op " << op;
+        ASSERT_EQ(ids_of(side_i), ids_of(side_o)) << "expired at op " << op;
+      }
+      ASSERT_EQ(indexed.depth(), oracle.depth()) << "depth after op " << op;
+    }
+  }
+}
+
+// Three consumers and four producers over a small capacity: urgency
+// classes, displacement, already-past deadlines and sticky session items
+// under a seq-contiguity JoinFn. Every admitted item comes back exactly
+// once — served, expired or displaced — no batch mixes keys, and session
+// batches are seq-contiguous.
+TEST(ServeQueue, ConcurrentUrgencyDisplacementAndSessionsDeliverExactlyOnce) {
+  using SQueue = serve::CoalescingQueue<DItem, int>;
+  SQueue q = make_session_queue<SQueue>(32);
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 1500;
+  std::vector<std::atomic<int>> returned(kProducers * kPerProducer);
+  std::vector<char> admitted(kProducers * kPerProducer, 0);
+  std::atomic<bool> mixed_key_batch{false};
+  std::atomic<bool> session_gap{false};
+
+  std::atomic<bool> session_shed{false};  // sticky: never displaced or expired
+
+  auto count = [&](const std::vector<DItem>& items, bool shed) {
+    for (const DItem& item : items) {
+      ++returned[item.id];
+      if (shed && item.session) session_shed = true;
+    }
+  };
+  std::vector<std::thread> consumers;
+  for (int c = 0; c < 3; ++c) {
+    consumers.emplace_back([&] {
+      std::vector<DItem> batch;
+      std::vector<DItem> expired;
+      while (q.pop_batch(8, 20us, batch, &expired)) {
+        for (std::size_t i = 1; i < batch.size(); ++i) {
+          if (batch[i].key != batch.front().key) mixed_key_batch = true;
+          if (batch[i - 1].session && batch[i].chain != batch[i - 1].chain + 1) {
+            session_gap = true;
+          }
+        }
+        count(batch, false);
+        count(expired, true);
+        expired.clear();
+      }
+    });
+  }
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      util::Rng rng(static_cast<std::uint64_t>(p) + 1);
+      std::vector<DItem> displaced;
+      for (int i = 0; i < kPerProducer; ++i) {
+        DItem item;
+        item.id = static_cast<std::uint64_t>(p * kPerProducer + i);
+        if (p < 2) {
+          // A session stream on its own key: sticky, gapless, retried
+          // until admitted.
+          item.key = 10 + p;
+          item.klass = 1;
+          item.session = true;
+          item.chain = static_cast<std::uint64_t>(i);
+          while (q.push(DItem(item), &displaced) != SQueue::PushResult::kOk) {
+            std::this_thread::yield();
+          }
+          admitted[item.id] = 1;
+        } else {
+          item.key = static_cast<int>(rng.uniform_int(0, 2));
+          item.klass = static_cast<int>(rng.uniform_int(0, 2));
+          const double d = rng.uniform();
+          if (d < 0.25) {
+            item.deadline = Queue::Clock::now() - 1ms;
+          } else if (d < 0.5) {
+            item.deadline = Queue::Clock::now() + 1h;
+          }
+          const std::uint64_t id = item.id;
+          if (q.push(std::move(item), &displaced) == SQueue::PushResult::kOk) {
+            admitted[id] = 1;
+          }
+        }
+        count(displaced, true);
+        displaced.clear();
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  q.close();
+  for (auto& t : consumers) t.join();
+
+  int not_once = 0;
+  for (std::size_t id = 0; id < admitted.size(); ++id) {
+    if (returned[id].load() != (admitted[id] != 0 ? 1 : 0)) ++not_once;
+  }
+  EXPECT_EQ(not_once, 0);
+  EXPECT_FALSE(session_shed.load());
+  EXPECT_FALSE(mixed_key_batch.load());
+  EXPECT_FALSE(session_gap.load());
   EXPECT_EQ(q.depth(), 0u);
 }
 
