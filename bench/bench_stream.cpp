@@ -473,8 +473,9 @@ PipeResult run_pipe(const std::string& command,
   result.unknown_op_listed = saw_unknown_op;
   result.sessions_closed = sessions_closed == 2;
 
-  // Bitwise comparison against the in-process sessions. fmt_double's
-  // %.17g round-trips doubles exactly, so == is the right comparison.
+  // Bitwise comparison against the in-process sessions. pnc_serve prints
+  // each double in its shortest round-trip form, which parses back to the
+  // same bits, so == is the right comparison.
   auto compare = [&result](const Expected& want,
                            const std::vector<pnc::stream::WindowResult>& got,
                            const std::vector<pnc::stream::Event>& got_events,

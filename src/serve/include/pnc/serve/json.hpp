@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pnc::serve {
@@ -38,7 +39,7 @@ class JsonValue {
 
   /// Parse one JSON document; throws std::runtime_error with a byte offset
   /// on malformed input, including trailing garbage.
-  static JsonValue parse(const std::string& text);
+  static JsonValue parse(std::string_view text);
 
  private:
   friend class JsonParser;

@@ -18,7 +18,7 @@ namespace {
 
 class JsonParser {
  public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
+  explicit JsonParser(std::string_view text) : text_(text) {}
 
   JsonValue run() {
     JsonValue value = parse_value();
@@ -218,7 +218,7 @@ class JsonParser {
     return v;
   }
 
-  const std::string& text_;
+  std::string_view text_;
   std::size_t pos_ = 0;
 };
 
@@ -259,7 +259,7 @@ std::string JsonValue::string_or(const std::string& key,
   return v && v->type_ == Type::kString ? v->string_ : fallback;
 }
 
-JsonValue JsonValue::parse(const std::string& text) {
+JsonValue JsonValue::parse(std::string_view text) {
   return JsonParser(text).run();
 }
 

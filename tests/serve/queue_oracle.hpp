@@ -140,13 +140,17 @@ class CoalescingQueue {
     out.push_back(std::move(head));
     take_matching(key, max_batch, out, expired);
 
-    const auto wait_until = Clock::now() + gather;
-    while (out.size() < max_batch && !closed_) {
-      if (cv_.wait_until(lock, wait_until) == std::cv_status::timeout) {
+    // A zero gather takes only what is already queued: a wait until "now"
+    // would still sleep for the kernel's timer slack on every short batch.
+    if (gather.count() > 0) {
+      const auto wait_until = Clock::now() + gather;
+      while (out.size() < max_batch && !closed_) {
+        if (cv_.wait_until(lock, wait_until) == std::cv_status::timeout) {
+          take_matching(key, max_batch, out, expired);
+          break;
+        }
         take_matching(key, max_batch, out, expired);
-        break;
       }
-      take_matching(key, max_batch, out, expired);
     }
     lock.unlock();
     // A gather may have consumed a notify that another consumer needed.

@@ -12,26 +12,41 @@
 //
 // Responses carry "status": "ok" | "shed" | "error". Shedding is the
 // admission control: a full queue rejects instead of queueing unbounded
-// work. EOF on stdin (or on a socket connection) drains in-flight
-// requests before exiting, so every admitted request is answered.
+// work. Numbers are printed in the shortest decimal form that reads back
+// to the same double, so parsed logits are bit-exact.
+//
+// Both modes run one connection loop, serve_stream(in_fd, out_fd): read(2)
+// chunks go through a bounded LineFramer (a line over --max-line-bytes
+// gets one error and is dropped, never buffered whole), and responses go
+// out through one FdWriter that owns the output fd. EOF on stdin, or a
+// socket client's close or half-close (shutdown(SHUT_WR)), ends reading;
+// every admitted request is still answered, because the fd is closed only
+// when the last in-flight callback releases the writer. A client that
+// leaves without reading its answers costs only its own session: SIGPIPE
+// is ignored and a write that fails with EPIPE drops that writer's lines.
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <cstdio>
+#include <cerrno>
+#include <charconv>
+#include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "pnc/calib/overlay.hpp"
 #include "pnc/infer/engine.hpp"
+#include "pnc/serve/framing.hpp"
 #include "pnc/serve/json.hpp"
 #include "pnc/serve/server.hpp"
 #include "pnc/util/digest.hpp"
@@ -138,78 +153,90 @@ std::uint64_t parse_u64(const std::string& flag, const std::string& text) {
   }
 }
 
-std::string fmt_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-/// Serialized, mutex-guarded line sink. Responses arrive from worker
-/// shard threads concurrently; one mutex keeps lines whole.
-class LineWriter {
+/// Builds one protocol line in a std::string. Integers and doubles go
+/// through std::to_chars; a double prints in its shortest round-trip form,
+/// which parses back to the same bits.
+class LineBuilder {
  public:
-  virtual ~LineWriter() = default;
-  void write_line(const std::string& line) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    emit(line);
+  LineBuilder& operator<<(std::string_view text) {
+    line_ += text;
+    return *this;
   }
+  LineBuilder& operator<<(char c) {
+    line_ += c;
+    return *this;
+  }
+  template <class T, std::enable_if_t<std::is_arithmetic_v<T>, int> = 0>
+  LineBuilder& operator<<(T value) {
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), value);
+    line_.append(buf, res.ptr);
+    return *this;
+  }
+  std::string take() { return std::move(line_); }
 
  private:
-  virtual void emit(const std::string& line) = 0;
-  std::mutex mutex_;
+  std::string line_;
 };
 
-class StdoutWriter final : public LineWriter {
- private:
-  void emit(const std::string& line) override {
-    std::fputs(line.c_str(), stdout);
-    std::fputc('\n', stdout);
-    std::fflush(stdout);
-  }
-};
-
-class FdWriter final : public LineWriter {
+/// The one response sink of a connection. Shard threads write to it
+/// concurrently; a mutex keeps each line whole. The writer owns its fd and
+/// closes it when the last reference drops: the reader holds one until
+/// EOF and each in-flight request's callback holds one, so the fd outlives
+/// every answer and a late callback can never write to a reused fd number.
+class FdWriter {
  public:
   explicit FdWriter(int fd) : fd_(fd) {}
+  ~FdWriter() { ::close(fd_); }
+  FdWriter(const FdWriter&) = delete;
+  FdWriter& operator=(const FdWriter&) = delete;
 
- private:
-  void emit(const std::string& line) override {
-    std::string framed = line + "\n";
-    const char* data = framed.data();
-    std::size_t left = framed.size();
+  void write_line(std::string&& line) {
+    line += '\n';
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (peer_gone_) return;
+    const char* data = line.data();
+    std::size_t left = line.size();
     while (left > 0) {
       // Chaos: force a 1-byte write so the retry loop below is exercised
       // the way a slow client exercises it (armed under PNC_CHAOS only).
       const std::size_t chunk =
           PNC_FAILPOINT_FIRE("serve.socket_write") ? 1 : left;
       const ssize_t n = ::write(fd_, data, chunk);
-      if (n < 0) {
-        if (errno == EINTR) continue;  // signal mid-write: retry, don't
-        return;                        // corrupt the line; else peer gone
+      if (n >= 0) {
+        data += n;
+        left -= static_cast<std::size_t>(n);
+      } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        pollfd ready{fd_, POLLOUT, 0};  // non-blocking fd: wait, then retry
+        ::poll(&ready, 1, -1);
+      } else if (errno != EINTR) {
+        peer_gone_ = true;  // EPIPE and the like: the reader left
+        return;
       }
-      data += n;
-      left -= static_cast<std::size_t>(n);
     }
   }
 
+ private:
+  std::mutex mutex_;
   int fd_;
+  bool peer_gone_ = false;
 };
 
 std::string response_to_json(const Response& resp, bool with_logits) {
-  std::ostringstream out;
+  LineBuilder out;
   out << "{\"id\":" << resp.id << ",\"status\":\""
       << pnc::serve::status_name(resp.status) << "\"";
   if (resp.status == Status::kOk) {
     out << ",\"predicted\":" << resp.predicted
         << ",\"generation\":" << resp.generation
         << ",\"batch_rows\":" << resp.batch_rows
-        << ",\"queue_us\":" << fmt_double(resp.queue_seconds * 1e6)
-        << ",\"total_us\":" << fmt_double(resp.total_seconds * 1e6);
+        << ",\"queue_us\":" << resp.queue_seconds * 1e6
+        << ",\"total_us\":" << resp.total_seconds * 1e6;
     if (with_logits) {
       out << ",\"logits\":[";
       for (std::size_t i = 0; i < resp.logits.size(); ++i) {
         if (i > 0) out << ',';
-        out << fmt_double(resp.logits[i]);
+        out << resp.logits[i];
       }
       out << ']';
     }
@@ -225,7 +252,7 @@ std::string response_to_json(const Response& resp, bool with_logits) {
           out << ",\"logits\":[";
           for (std::size_t j = 0; j < w.logits.size(); ++j) {
             if (j > 0) out << ',';
-            out << fmt_double(w.logits[j]);
+            out << w.logits[j];
           }
           out << ']';
         }
@@ -242,12 +269,12 @@ std::string response_to_json(const Response& resp, bool with_logits) {
   } else {
     out << ",\"error\":\"" << pnc::serve::json_escape(resp.error) << "\"";
   }
-  out << "}";
-  return out.str();
+  out << '}';
+  return out.take();
 }
 
 std::string stats_to_json(const ServerStats& s) {
-  std::ostringstream out;
+  LineBuilder out;
   out << "{\"op\":\"stats\",\"submitted\":" << s.submitted
       << ",\"completed\":" << s.completed << ",\"shed\":" << s.shed
       << ",\"deadline_expired\":" << s.deadline_expired
@@ -276,7 +303,7 @@ std::string stats_to_json(const ServerStats& s) {
     out << s.batch_histogram[i];
   }
   out << "]}";
-  return out.str();
+  return out.take();
 }
 
 std::string error_line(const std::string& message) {
@@ -311,8 +338,8 @@ pnc::serve::ModelConfig build_model(const ModelRecipe& recipe,
 /// Handle one protocol line. Infer responses are written asynchronously
 /// by the submit callback; everything else is written before returning.
 void handle_line(pnc::serve::Server& server, const ModelRecipe& recipe,
-                 const std::string& line,
-                 const std::shared_ptr<LineWriter>& writer,
+                 std::string_view line,
+                 const std::shared_ptr<FdWriter>& writer,
                  bool with_logits) {
   JsonValue doc;
   try {
@@ -377,14 +404,14 @@ void handle_line(pnc::serve::Server& server, const ModelRecipe& recipe,
         writer->write_line(error_line("session: " + error));
         return;
       }
-      std::ostringstream out;
+      LineBuilder out;
       out << "{\"op\":\"session\",\"status\":\"ok\",\"name\":\""
           << pnc::serve::json_escape(name)
           << "\",\"closed\":true,\"generation\":" << info.generation
           << ",\"samples\":" << info.samples
           << ",\"windows\":" << info.windows << ",\"events\":" << info.events
           << "}";
-      writer->write_line(out.str());
+      writer->write_line(out.take());
       return;
     }
     pnc::serve::SessionConfig config;
@@ -424,12 +451,12 @@ void handle_line(pnc::serve::Server& server, const ModelRecipe& recipe,
       writer->write_line(error_line("session: " + error));
       return;
     }
-    std::ostringstream out;
+    LineBuilder out;
     out << "{\"op\":\"session\",\"status\":\"ok\",\"name\":\""
         << pnc::serve::json_escape(name) << "\",\"window\":"
         << config.stream.window << ",\"stride\":" << config.stream.stride
         << ",\"carry\":" << (carry ? "true" : "false") << "}";
-    writer->write_line(out.str());
+    writer->write_line(out.take());
     return;
   }
 
@@ -470,12 +497,12 @@ void handle_line(pnc::serve::Server& server, const ModelRecipe& recipe,
       const std::uint64_t digest = config.checkpoint_digest;
       const std::uint64_t generation =
           server.load_model(model_id, std::move(config));
-      std::ostringstream out;
+      LineBuilder out;
       out << "{\"op\":\"reload\",\"status\":\"ok\",\"model\":\""
           << pnc::serve::json_escape(model_id)
           << "\",\"generation\":" << generation << ",\"digest\":" << digest
           << "}";
-      writer->write_line(out.str());
+      writer->write_line(out.take());
     } catch (const std::exception& error) {
       writer->write_line(error_line(std::string("reload: ") + error.what()));
     }
@@ -489,11 +516,11 @@ void handle_line(pnc::serve::Server& server, const ModelRecipe& recipe,
 
   if (op == "health") {
     const pnc::serve::Health health = server.health();
-    std::ostringstream out;
+    LineBuilder out;
     out << "{\"op\":\"health\",\"health\":\""
         << pnc::serve::health_name(health) << "\",\"ready\":"
         << (server.ready() ? "true" : "false") << "}";
-    writer->write_line(out.str());
+    writer->write_line(out.take());
     return;
   }
 
@@ -502,67 +529,37 @@ void handle_line(pnc::serve::Server& server, const ModelRecipe& recipe,
       "' (valid: infer, session, chunk, reload, stats, health)"));
 }
 
-/// A line the front-end refuses to parse (too long for the configured
-/// cap). Answered per-line instead of killing the server: one abusive or
-/// broken client must not take down everyone else's session.
-std::string oversized_line_error(std::size_t got, std::size_t cap) {
-  std::ostringstream out;
-  out << "line too long (" << got << " > " << cap << " bytes)";
-  return error_line(out.str());
-}
-
-void serve_stdio(pnc::serve::Server& server, const ModelRecipe& recipe,
-                 bool with_logits, std::size_t max_line_bytes) {
-  auto writer = std::make_shared<StdoutWriter>();
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    if (line.size() > max_line_bytes) {
-      writer->write_line(oversized_line_error(line.size(), max_line_bytes));
-      continue;
-    }
+/// One connection: frame request lines read from `in_fd` until EOF and
+/// answer on `out_fd`, which the writer takes over (see FdWriter). A line
+/// over the cap is answered with one error instead of killing the server:
+/// one abusive or broken client must not take down everyone else's
+/// session. Returns at EOF with answers possibly still in flight.
+void serve_stream(pnc::serve::Server& server, const ModelRecipe& recipe,
+                  int in_fd, int out_fd, bool with_logits,
+                  std::size_t max_line_bytes) {
+  const auto writer = std::make_shared<FdWriter>(out_fd);
+  pnc::serve::LineFramer framer(max_line_bytes);
+  const auto on_line = [&](std::string_view line) {
     handle_line(server, recipe, line, writer, with_logits);
-  }
-  server.stop();  // drain in-flight requests; callbacks flush before exit
-}
-
-void serve_connection(pnc::serve::Server& server, const ModelRecipe& recipe,
-                      int fd, bool with_logits, std::size_t max_line_bytes) {
-  auto writer = std::make_shared<FdWriter>(fd);
-  std::string buffer;
-  char chunk[4096];
-  // When a line overruns the cap we answer once, then discard bytes until
-  // the next newline so the stream re-synchronizes on the client's next
-  // request instead of ballooning the buffer.
-  bool discarding = false;
-  while (true) {
-    ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start); nl != std::string::npos;
-         nl = buffer.find('\n', start)) {
-      const std::string line = buffer.substr(start, nl - start);
-      start = nl + 1;
-      if (discarding) {  // tail of an already-reported oversized line
-        discarding = false;
-        continue;
-      }
-      if (line.size() > max_line_bytes) {
-        writer->write_line(oversized_line_error(line.size(), max_line_bytes));
-        continue;
-      }
-      if (!line.empty()) handle_line(server, recipe, line, writer, with_logits);
-    }
-    buffer.erase(0, start);
-    if (!discarding && buffer.size() > max_line_bytes) {
-      writer->write_line(oversized_line_error(buffer.size(), max_line_bytes));
-      buffer.clear();
-      discarding = true;
+  };
+  const auto on_too_long = [&] {
+    writer->write_line(error_line("line too long (over " +
+                                  std::to_string(max_line_bytes) + " bytes)"));
+  };
+  char chunk[16384];
+  for (;;) {
+    const ssize_t n = ::read(in_fd, chunk, sizeof(chunk));
+    if (n > 0) {
+      framer.feed(std::string_view(chunk, static_cast<std::size_t>(n)),
+                  on_line, on_too_long);
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      pollfd ready{in_fd, POLLIN, 0};  // non-blocking fd: wait for input
+      ::poll(&ready, 1, -1);
+    } else if (n == 0 || errno != EINTR) {
+      break;  // EOF, half-close, or the connection failed
     }
   }
-  ::close(fd);
+  framer.finish(on_line);
 }
 
 int serve_socket(pnc::serve::Server& server, const ModelRecipe& recipe,
@@ -591,7 +588,7 @@ int serve_socket(pnc::serve::Server& server, const ModelRecipe& recipe,
     }
     std::thread(
         [&server, &recipe, fd, with_logits, max_line_bytes] {
-          serve_connection(server, recipe, fd, with_logits, max_line_bytes);
+          serve_stream(server, recipe, fd, fd, with_logits, max_line_bytes);
         })
         .detach();
   }
@@ -696,12 +693,17 @@ int main(int argc, char** argv) {
   } catch (const std::exception& error) {
     die(error.what());
   }
+  // A client that closes without reading its answers must not kill the
+  // server: its writes fail with EPIPE instead (see FdWriter).
+  std::signal(SIGPIPE, SIG_IGN);
   server.start();
 
   if (!socket_path.empty()) {
     return serve_socket(server, recipe, socket_path, with_logits,
                         max_line_bytes);
   }
-  serve_stdio(server, recipe, with_logits, max_line_bytes);
+  serve_stream(server, recipe, STDIN_FILENO, STDOUT_FILENO, with_logits,
+               max_line_bytes);
+  server.stop();  // drain in-flight requests; callbacks write before exit
   return 0;
 }
